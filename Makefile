@@ -31,29 +31,34 @@ vet:
 build:
 	$(GO) build ./...
 
+# kbench is a module of its own, outside ./..., so a walker-API break
+# there needs its own vet and test run.
 test:
 	$(GO) test ./...
+	$(GO) -C kbench vet .
+	$(GO) -C kbench test .
 
 race:
 	$(GO) test -race $(RACE_PKGS)
 
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkStream_' -benchtime 10x .
-	$(GO) test -bench . -benchtime 100x ./internal/exec
-	$(GO) test -run XXX -bench 'BenchmarkServe' ./internal/serve
-	$(GO) test -run XXX -bench 'BenchmarkStreamWire' -benchtime 10x ./internal/serve
-	$(GO) test -run XXX -bench 'BenchmarkFlightRecorder' ./internal/obs
-	$(GO) test -run XXX -bench 'BenchmarkDistGen' ./internal/distgen
+	$(GO) test -run XXX -bench 'BenchmarkStream_' -benchtime 10x -benchmem .
+	$(GO) test -bench . -benchtime 100x -benchmem ./internal/exec
+	$(GO) test -run XXX -bench 'BenchmarkServe' -benchmem ./internal/serve
+	$(GO) test -run XXX -bench 'BenchmarkStreamWire' -benchtime 10x -benchmem ./internal/serve
+	$(GO) test -run XXX -bench 'BenchmarkFlightRecorder' -benchmem ./internal/obs
+	$(GO) test -run XXX -bench 'BenchmarkDistGen' -benchmem ./internal/distgen
 
 # bench-json records the same runs in `go test -json` form, one dated
-# file per day, for diffing throughput across PRs.
+# file per day, for diffing throughput across PRs.  -benchmem puts B/op
+# and allocs/op in every record.
 bench-json:
-	{ $(GO) test -json -run XXX -bench 'BenchmarkStream_' -benchtime 10x . ; \
-	  $(GO) test -json -run XXX -bench . -benchtime 100x ./internal/exec ; \
-	  $(GO) test -json -run XXX -bench 'BenchmarkServe' ./internal/serve ; \
-	  $(GO) test -json -run XXX -bench 'BenchmarkStreamWire' -benchtime 10x ./internal/serve ; \
-	  $(GO) test -json -run XXX -bench 'BenchmarkFlightRecorder' ./internal/obs ; \
-	  $(GO) test -json -run XXX -bench 'BenchmarkDistGen' ./internal/distgen ; } > BENCH_$(BENCH_DATE).json
+	{ $(GO) test -json -run XXX -bench 'BenchmarkStream_' -benchtime 10x -benchmem . ; \
+	  $(GO) test -json -run XXX -bench . -benchtime 100x -benchmem ./internal/exec ; \
+	  $(GO) test -json -run XXX -bench 'BenchmarkServe' -benchmem ./internal/serve ; \
+	  $(GO) test -json -run XXX -bench 'BenchmarkStreamWire' -benchtime 10x -benchmem ./internal/serve ; \
+	  $(GO) test -json -run XXX -bench 'BenchmarkFlightRecorder' -benchmem ./internal/obs ; \
+	  $(GO) test -json -run XXX -bench 'BenchmarkDistGen' -benchmem ./internal/distgen ; } > BENCH_$(BENCH_DATE).json
 	@echo wrote BENCH_$(BENCH_DATE).json
 
 # bench-check compares the two most recent records: 2x threshold for

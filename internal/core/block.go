@@ -1,223 +1,198 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"kronbip/internal/exec"
 )
 
-// 2D-blocked edge streaming — the distributed-generation partition.
+// 2D-blocked edge layout — the one partition every edge stream is cut
+// from.
 //
-// The 1D shard vocabulary (EachEdgeShard*, ShardEdgeCount) stripes the
-// stream's row space; blocks refine it with a second, orthogonal
-// dimension: the edge list of the LAST chain factor B_K.  Every product
-// edge terminates in exactly one B_K edge (the base case of the chain
-// expansion walks E_{B_K} in order, emitting one or two product edges
-// per B_K edge), so
+// Stream rows are the |E_A| factor edges (term 0) followed by the +I
+// self loops of each chain prefix (terms t >= 1; term 1 exists only in
+// mode (ii)); rows of term t occupy [termOff[t], termOff[t+1]) and each
+// emits termPer[t] product edges.  Blocks refine the row space with a
+// second, orthogonal dimension: the edge list of the LAST chain factor
+// B_K.  Every product edge terminates in exactly one B_K edge (the base
+// case of the chain expansion walks E_{B_K} in order, emitting one or
+// two product edges per B_K edge), so
 //
 //	block (r, c) of R×C  =  { edges whose stream row ∈ rowStripe(r, R)
 //	                          and whose B_K edge index ∈ colStripe(c, C) }
 //
 // partitions the edge set into R·C deterministic, disjoint blocks whose
-// union is exactly the EachEdge stream.  Each block's edge count has the
-// same O(K) closed form as ShardEdgeCount: every row of term t emits
-// termPer[t]/|E_{B_K}| product edges per B_K edge — an exact integer by
-// construction, since every term's multiplicity carries a trailing
-// |E_{B_K}| factor — so a coordinator can size, balance, and verify
-// block leases without generating anything (internal/distgen).
+// union is exactly the EachEdge stream.  Each block's edge count has an
+// O(K) closed form: every row of term t emits termPer[t]/|E_{B_K}|
+// product edges per B_K edge — an exact integer by construction, since
+// every term's multiplicity carries a trailing |E_{B_K}| factor — so a
+// coordinator can size, balance, and verify block leases without
+// generating anything (internal/distgen).
 //
-// Block (0, 0) of 1×1 is the whole product in canonical order.  For
-// C > 1 the within-block order is the canonical order restricted to the
-// block; concatenating blocks in (row, col)-major block order is a
+// Block (0, 0) of 1×1 is the whole product in canonical order, and a
+// full-width block (r, 0) of R×1 is a 1D shard.  For C > 1 the
+// within-block order is the canonical order restricted to the block;
+// concatenating blocks in (row, col)-major block order is a
 // deterministic permutation of the canonical stream, reproduced
-// identically by every replica.
+// identically by every replica.  Offsets inside a block count edges in
+// that order, so a range [lo, hi) of block (0, 0) of 1×1 is a range of
+// the canonical stream.
+
+// numRows returns the stream row count: every term's rows, fixed (and
+// overflow-checked) at construction by computeLayout.
+func (p *Product) numRows() int {
+	return p.termOff[len(p.termOff)-1]
+}
+
+// stripe validates part i of n and returns its half-open share of
+// [0, size).  Bounds come from exec.Stripe, which never forms i·size,
+// so huge extents cannot overflow; n may exceed size — the surplus
+// stripes are empty, never an error.
+func stripe(what string, i, n, size int) (lo, hi int, err error) {
+	if n <= 0 {
+		return 0, 0, fmt.Errorf("core: %s count must be positive, got %d", what, n)
+	}
+	if i < 0 || i >= n {
+		return 0, 0, fmt.Errorf("core: %s %d out of range [0,%d)", what, i, n)
+	}
+	lo, hi = exec.Stripe(i, n, size)
+	return lo, hi, nil
+}
 
 // blockRanges validates (row, nrows, col, ncols) and resolves the
-// block's half-open row range and last-factor edge-index range.  Column
-// stripes come from exec.Stripe over |E_{B_K}|, so ncols may exceed the
-// edge count — the surplus stripes are empty, never an error.
+// block's half-open row range and last-factor edge-index range.
 func (p *Product) blockRanges(row, nrows, col, ncols int) (rlo, rhi, clo, chi int, err error) {
-	rlo, rhi, err = p.shardRange(row, nrows)
-	if err != nil {
+	if rlo, rhi, err = stripe("row", row, nrows, p.numRows()); err != nil {
 		return 0, 0, 0, 0, err
 	}
-	if ncols <= 0 {
-		return 0, 0, 0, 0, fmt.Errorf("core: ncols must be positive, got %d", ncols)
+	if clo, chi, err = stripe("col", col, ncols, p.mLast); err != nil {
+		return 0, 0, 0, 0, err
 	}
-	if col < 0 || col >= ncols {
-		return 0, 0, 0, 0, fmt.Errorf("core: col %d out of range [0,%d)", col, ncols)
-	}
-	clo, chi = exec.Stripe(col, ncols, p.lastFactorEdges())
 	return rlo, rhi, clo, chi, nil
 }
 
-// lastFactorEdges is |E_{B_K}|, the column dimension's extent.
-func (p *Product) lastFactorEdges() int {
-	return p.bs[len(p.bs)-1].G.NumEdges()
+// blockTerm returns the stream rows [first, first+rows) of term t that
+// fall in row band [rlo, rhi), and the edges each of them emits in
+// column stripe [clo, chi).  termPer was overflow-checked against |E_C|
+// at construction, so no product of these can wrap.
+func (p *Product) blockTerm(t, rlo, rhi, clo, chi int) (first, rows int, per int64) {
+	first = max(rlo, p.termOff[t])
+	rows = max(0, min(rhi, p.termOff[t+1])-first)
+	if p.mLast > 0 {
+		per = p.termPer[t] / int64(p.mLast) * int64(chi-clo)
+	}
+	return first, rows, per
 }
 
 // BlockEdgeCount returns the number of edges block (row, col) of an
 // nrows×ncols blocking will emit, without streaming — O(K) closed form:
-// Σ_t rowOverlap(t)·(termPer[t]/|E_{B_K}|)·colSpan.  The division is
-// exact (every term's per-row multiplicity is a multiple of |E_{B_K}|),
-// and the arithmetic cannot wrap because termPer was overflow-checked
-// against |E_C| at construction.
+// Σ_t rowOverlap(t)·(termPer[t]/|E_{B_K}|)·colSpan.
 func (p *Product) BlockEdgeCount(row, nrows, col, ncols int) (int64, error) {
 	rlo, rhi, clo, chi, err := p.blockRanges(row, nrows, col, ncols)
 	if err != nil {
 		return 0, err
 	}
-	mLast := int64(p.lastFactorEdges())
-	if mLast == 0 || chi <= clo {
-		return 0, nil
-	}
+	return p.blockEdges(rlo, rhi, clo, chi), nil
+}
+
+// blockEdges is BlockEdgeCount on resolved block ranges.
+func (p *Product) blockEdges(rlo, rhi, clo, chi int) int64 {
 	var total int64
 	for t := 0; t < len(p.termOff)-1; t++ {
-		o := min(rhi, p.termOff[t+1]) - max(rlo, p.termOff[t])
-		if o > 0 {
-			total += int64(o) * (p.termPer[t] / mLast) * int64(chi-clo)
-		}
+		_, rows, per := p.blockTerm(t, rlo, rhi, clo, chi)
+		total += int64(rows) * per
 	}
-	return total, nil
+	return total
 }
 
-// EachEdgeBlock streams block (row, col) of an nrows×ncols blocking in
-// canonical-restricted order.  The union over all R·C blocks is exactly
-// the EachEdge stream; no edge repeats across blocks.  Iteration stops
-// early if yield returns false.
-func (p *Product) EachEdgeBlock(row, nrows, col, ncols int, yield func(v, w int) bool) error {
+// ShardEdgeCount returns the number of edges shard `shard` of `nshards`
+// (block (shard, 0) of nshards×1) will emit, without streaming.
+func (p *Product) ShardEdgeCount(shard, nshards int) (int64, error) {
+	return p.BlockEdgeCount(shard, nshards, 0, 1)
+}
+
+// BlockTermEdgeStarts returns the ascending block-local edge offsets at
+// which each (non-empty) term's rows begin, with the block's
+// BlockEdgeCount appended — the hard-cut schedule for the binary wire
+// format's frame alignment: a frame never spans a term boundary, so
+// resuming at any term start (or any aligned frame boundary within a
+// term) reproduces the canonical framing byte for byte.
+func (p *Product) BlockTermEdgeStarts(row, nrows, col, ncols int) ([]int64, error) {
 	rlo, rhi, clo, chi, err := p.blockRanges(row, nrows, col, ncols)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	p.streamBlockRows(rlo, rhi, clo, chi, yield)
-	return nil
-}
-
-// EachEdgeBlockContext is EachEdgeBlock under a context, with the same
-// cancellation contract as EachEdgeShardContext: checked every
-// streamPollStride emitted edges, the stream stops without invoking
-// yield again and returns ctx.Err(), and no edge is ever emitted twice.
-func (p *Product) EachEdgeBlockContext(ctx context.Context, row, nrows, col, ncols int, yield func(v, w int) bool) error {
-	rlo, rhi, clo, chi, err := p.blockRanges(row, nrows, col, ncols)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if ctx.Done() == nil {
-		p.streamBlockRows(rlo, rhi, clo, chi, yield)
-		return nil
-	}
-	poll := exec.NewPoller(ctx, streamPollStride)
-	cancelled := false
-	p.streamBlockRows(rlo, rhi, clo, chi, func(v, w int) bool {
-		if poll.Cancelled() {
-			cancelled = true
-			return false
-		}
-		return yield(v, w)
-	})
-	if cancelled {
-		return ctx.Err()
-	}
-	return nil
-}
-
-// streamBlockRows walks rows [rlo, rhi) restricted to last-factor edges
-// [clo, chi).  The full-width case falls through to the unrestricted
-// walkers, so a 1-column blocking pays nothing over the shard path.
-func (p *Product) streamBlockRows(rlo, rhi, clo, chi int, yield func(v, w int) bool) {
-	if chi <= clo {
-		return
-	}
-	if clo == 0 && chi == p.lastFactorEdges() {
-		p.streamRows(rlo, rhi, yield)
-		return
-	}
-	if len(p.bs) == 1 {
-		p.streamBlockTwoFactor(rlo, rhi, clo, chi, yield)
-		return
-	}
-	p.streamBlockChain(rlo, rhi, clo, chi, yield)
-}
-
-// streamBlockTwoFactor is the K = 1 blocked walker: the historical
-// two-factor row loop over the [clo, chi) slice of the B edge list.
-func (p *Product) streamBlockTwoFactor(rlo, rhi, clo, chi int, yield func(v, w int) bool) {
-	ea := p.a.G.Edges()
-	eb := p.bs[0].G.Edges()[clo:chi]
-	nb := p.bs[0].N()
-	for r := rlo; r < rhi; r++ {
-		if r < len(ea) {
-			au, av := ea[r].U*nb, ea[r].V*nb
-			for _, be := range eb {
-				if !yield(au+be.U, av+be.V) {
-					return
-				}
-				if !yield(au+be.V, av+be.U) {
-					return
-				}
-			}
-			continue
-		}
-		i := (r - len(ea)) * nb // self-loop row (mode (ii) only)
-		for _, be := range eb {
-			if !yield(i+be.U, i+be.V) {
-				return
-			}
-		}
-	}
-}
-
-// streamBlockChain is the K >= 2 blocked walker: identical term/row
-// structure to streamRowsChain, with the base level restricted to the
-// column stripe.
-func (p *Product) streamBlockChain(rlo, rhi, clo, chi int, yield func(v, w int) bool) {
-	ea := p.a.G.Edges()
+	cuts := make([]int64, 0, len(p.termOff))
+	var acc int64
 	for t := 0; t < len(p.termOff)-1; t++ {
-		tlo, thi := max(rlo, p.termOff[t]), min(rhi, p.termOff[t+1])
-		for r := tlo; r < thi; r++ {
-			idx := r - p.termOff[t]
-			if t == 0 {
-				if !p.emitChainBlock(1, ea[idx].U, ea[idx].V, true, clo, chi, yield) {
-					return
-				}
-			} else if !p.emitChainBlock(t, idx, idx, false, clo, chi, yield) {
-				return
-			}
+		if _, rows, per := p.blockTerm(t, rlo, rhi, clo, chi); rows > 0 && per > 0 {
+			cuts = append(cuts, acc)
+			acc += int64(rows) * per
 		}
 	}
+	return append(cuts, acc), nil
 }
 
-// emitChainBlock is emitChain with the base (last) level iterating only
-// last-factor edges [clo, chi); the inner levels expand in full — the
-// column dimension slices the base level alone.
-func (p *Product) emitChainBlock(u, pv, pw int, both bool, clo, chi int, yield func(v, w int) bool) bool {
-	f := p.bs[u-1]
-	eb := f.G.Edges()
-	n := f.N()
-	av, aw := pv*n, pw*n
-	if u == len(p.bs) {
-		for _, be := range eb[clo:chi] {
-			if !yield(av+be.U, aw+be.V) {
-				return false
-			}
-			if both && !yield(av+be.V, aw+be.U) {
-				return false
-			}
-		}
-		return true
+// TermEdgeStarts is BlockTermEdgeStarts for the canonical order (block
+// (0, 0) of 1×1), ending in NumEdges().
+func (p *Product) TermEdgeStarts() []int64 {
+	cuts, _ := p.BlockTermEdgeStarts(0, 1, 0, 1)
+	return cuts
+}
+
+// checkRange validates a half-open edge range against a total.
+func checkRange(lo, hi, total int64) error {
+	if lo < 0 || hi < lo || hi > total {
+		return fmt.Errorf("core: edge range [%d,%d) out of bounds [0,%d)", lo, hi, total)
 	}
-	for _, be := range eb {
-		if !p.emitChainBlock(u+1, av+be.U, aw+be.V, true, clo, chi, yield) {
-			return false
+	return nil
+}
+
+// seekBlockEdge locates block-local edge offset k of the block rows
+// [rlo, rhi) × last-factor edges [clo, chi): the term and stream row
+// containing it and the remaining within-row offset.  O(K).  k must be
+// below the block's edge count.
+func (p *Product) seekBlockEdge(rlo, rhi, clo, chi int, k int64) (t, row int, off int64) {
+	for t := 0; t < len(p.termOff)-1; t++ {
+		first, rows, per := p.blockTerm(t, rlo, rhi, clo, chi)
+		n := int64(rows) * per
+		if k < n {
+			return t, first + int(k/per), k % per
 		}
-		if both && !p.emitChainBlock(u+1, av+be.V, aw+be.U, true, clo, chi, yield) {
-			return false
+		k -= n
+	}
+	return len(p.termOff) - 2, rhi, 0
+}
+
+// rangeDigit is one level's coordinate inside a row's chain expansion:
+// the factor-edge index at that level and the orientation (0 canonical,
+// 1 flipped; always 0 at a self-loop term's anchor level).
+type rangeDigit struct {
+	e, o int
+}
+
+// rowDigits decomposes a within-row offset of a term-t row into the
+// per-level (edge, orientation) coordinates of the chain expansion, the
+// last level least significant.  span is the base level's edge extent:
+// the block's column-stripe width.  The returned slice is indexed by
+// level (1-based); levels above the term's anchor are unused.
+func (p *Product) rowDigits(t int, off int64, span int) []rangeDigit {
+	k := len(p.bs)
+	anchor := max(t, 1)
+	digits := make([]rangeDigit, k+1)
+	for u := k; u >= anchor; u-- {
+		m := int64(len(p.bs[u-1].edges))
+		if u == k {
+			m = int64(span)
+		}
+		if t == 0 || u > t { // both orientations at this level
+			d := off % (2 * m)
+			off /= 2 * m
+			digits[u] = rangeDigit{e: int(d / 2), o: int(d % 2)}
+		} else {
+			digits[u] = rangeDigit{e: int(off % m)}
+			off /= m
 		}
 	}
-	return true
+	return digits
 }

@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"kronbip/internal/count"
 	"kronbip/internal/graph"
@@ -39,6 +40,14 @@ type Factor struct {
 
 	Global4   int64 // number of distinct 4-cycles in the factor
 	Triangles int64 // number of distinct 3-cycles (0 for bipartite factors)
+
+	// edges is G.Edges(), filled by the first edge walk and kept: the
+	// walkers read each chain level's edge list from here, since
+	// G.Edges() rebuilds the list from CSR on every call.  Filled lazily
+	// because a server caches many products that only ever answer
+	// closed-form queries, and those need not hold the copy.
+	edgesOnce sync.Once
+	edges     []graph.Edge
 }
 
 // NewFactor validates that g is a simple undirected graph (no self loops)
@@ -70,6 +79,12 @@ func NewFactor(g *graph.Graph) (*Factor, error) {
 		Triangles: tri,
 	}
 	return f, nil
+}
+
+// cacheEdges fills f.edges once; every edge walk calls it before
+// reading the list.
+func (f *Factor) cacheEdges() {
+	f.edgesOnce.Do(func() { f.edges = f.G.Edges() })
 }
 
 // N returns the number of factor vertices.

@@ -75,6 +75,7 @@ type Product struct {
 	// exists only in mode (ii)).
 	termOff []int
 	termPer []int64
+	mLast   int // |E_{B_K}|: the column extent of the block partition
 
 	// Vertex-statistic sums over the final level, for the sublinear global
 	// 4-cycle count: Σd, Σd², Σw⁽²⁾, Σdiag(C⁴).
@@ -314,6 +315,7 @@ func (p *Product) computeLayout() error {
 		}
 	}
 	p.nEdges = edges
+	p.mLast = p.bs[k-1].G.NumEdges()
 	return nil
 }
 
@@ -634,15 +636,6 @@ func (p *Product) MaterializeContext(ctx context.Context, workers int) (*graph.G
 		}
 	}
 	return graph.FromAdjacency(cur)
-}
-
-// EachEdge streams every undirected edge {v,w} of C exactly once, in
-// deterministic order, without materializing the product.  Each factor-edge
-// pair ({i,j}, {k,l}) contributes two product edges (i,k)–(j,l) and
-// (i,l)–(j,k) per level; self-loop rows contribute one orientation at
-// their anchor level.  Iteration stops early if yield returns false.
-func (p *Product) EachEdge(yield func(v, w int) bool) {
-	p.streamRows(0, p.numRows(), yield)
 }
 
 // String summarizes the product.

@@ -8,33 +8,33 @@ import (
 	"time"
 
 	"kronbip/internal/exec"
+	"kronbip/internal/graph"
 	"kronbip/internal/obs"
 	"kronbip/internal/obs/timeline"
 )
 
-// Sharded, parallel edge streaming.  Generation is embarrassingly parallel
-// in the factor-edge pairs — the property the paper's distributed-GraphBLAS
-// future work relies on — so the undirected edge set of C is split into
-// nshards deterministic, disjoint slices that can be produced concurrently
-// and written to independent sinks.  All scheduling runs on the shared
-// engine in internal/exec, so streams are cancellable: cancelling the
-// context (deadline, Ctrl-C) aborts mid-generation within one polling
-// stride and surfaces ctx.Err(), leaving whatever edges were already
-// delivered as discardable partial work.
+// Edge streaming.  Generation is embarrassingly parallel in the
+// factor-edge pairs — the property the paper's distributed-GraphBLAS
+// future work relies on — and every stream kronbip serves is a
+// block-range of the 2D partition in block.go: a full stream is block
+// (0, 0) of 1×1, a shard is block (s, 0) of n×1, and a resumed range is
+// [lo, hi) of the 1×1 block.  So one loop, EachEdgeBlockRangeBatchContext,
+// produces every served edge; the other exported walkers wrap it in a
+// few lines.  EachEdge stays apart as the per-edge reference walker the
+// tests check the primitive against.
 //
-// Work layout: "rows" are the |E_A| factor edges followed (mode (ii)) by
-// the n_A self loops; each row crosses all |E_B| factor edges, a factor
-// edge row emitting two product edges per pair and a self-loop row one.
-
-// streamPollStride bounds how many product edges may be emitted after a
-// cancellation before the stream notices it.
-const streamPollStride = 1024
-
-// streamObsBatch is how many edges a shard accumulates locally before
-// flushing them to the shared edge counter — the "counters batched per
-// shard" half of the obs overhead contract: one atomic add per 1024
-// edges while enabled, zero per-edge work while disabled.
-const streamObsBatch = 1024
+// Expansion: a term-0 row expands an A edge through every level
+// B_1..B_K with both B-edge orientations; a term-t row (a prefix self
+// loop) anchors at level t with the canonical orientation — the prefix
+// halves coincide, so orientation choice at the anchor is the only
+// symmetry to break — and both orientations below.
+//
+// Batch contract: edges arrive in pooled slices of at most
+// exec.BatchLen, reused between calls (consumers must not retain
+// them).  The context is checked before every batch is delivered, so no
+// batch is yielded after a cancellation is observed and at most one
+// batch is generated past it; the walk then returns ctx.Err().  An edge
+// is never delivered twice, cancelled or not.
 
 // Metric names produced by the streaming generator, exported so the CLI
 // can wire its progress reporter to them.  Per-shard totals additionally
@@ -51,13 +51,10 @@ var (
 )
 
 // Labeled per-shard edge counters, resolved once per process per shard
-// index and cached in an atomically-published table.  The shard
-// epilogue used to call obs.Default.Counter(obs.Labeled(...)) on every
-// shard completion of every stream — a registry map lookup plus a
-// label-formatting allocation on the hot path's tail, multiplied by
-// shards × streams under the serve workload.  Now a completed stream
-// reads the table lock-free; the mutex is only taken the first time a
-// larger shard count than ever before is requested.
+// index and cached in an atomically-published table, so a completed
+// shard reads the table lock-free instead of paying a registry lookup
+// and a label-formatting allocation.  The mutex is only taken the first
+// time a larger shard count than ever before is requested.
 var (
 	shardCounterMu  sync.Mutex
 	shardCounterTab atomic.Pointer[[]*obs.Counter]
@@ -87,272 +84,328 @@ func shardEdgeCounters(n int) []*obs.Counter {
 	return grown
 }
 
-// numRows returns the sharding row count: every term's rows, fixed (and
-// overflow-checked) at construction by computeLayout.  For K = 1 this is
-// |E_A| (+ n_A in mode (ii)), the historical layout.
-func (p *Product) numRows() int {
-	return p.termOff[len(p.termOff)-1]
-}
-
-// shardRange validates (shard, nshards) and returns the shard's half-open
-// row range.  Bounds come from exec.Stripe, which never forms shard*rows,
-// so huge factor edge counts with many shards cannot overflow.
-func (p *Product) shardRange(shard, nshards int) (lo, hi int, err error) {
-	if nshards <= 0 {
-		return 0, 0, fmt.Errorf("core: nshards must be positive, got %d", nshards)
-	}
-	if shard < 0 || shard >= nshards {
-		return 0, 0, fmt.Errorf("core: shard %d out of range [0,%d)", shard, nshards)
-	}
-	lo, hi = exec.Stripe(shard, nshards, p.numRows())
-	return lo, hi, nil
-}
-
-// EachEdgeShard streams shard `shard` of `nshards` disjoint slices of the
-// product's undirected edge set.  The union over all shards is exactly the
-// EachEdge stream; edges never repeat across shards.  Iteration stops
-// early if yield returns false.
-func (p *Product) EachEdgeShard(shard, nshards int, yield func(v, w int) bool) error {
-	lo, hi, err := p.shardRange(shard, nshards)
-	if err != nil {
-		return err
-	}
-	p.streamRows(lo, hi, yield)
-	return nil
-}
-
-// EachEdgeShardContext is EachEdgeShard under a context.  Cancellation is
-// checked at every row boundary and every streamPollStride emitted edges;
-// on cancellation the stream stops without invoking yield again and
-// returns ctx.Err().  An edge is never emitted twice, cancelled or not.
-// A non-cancellable context (context.Background) takes the zero-overhead
-// EachEdgeShard loop.
-func (p *Product) EachEdgeShardContext(ctx context.Context, shard, nshards int, yield func(v, w int) bool) error {
-	lo, hi, err := p.shardRange(shard, nshards)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if ctx.Done() == nil {
-		p.streamRows(lo, hi, yield)
-		return nil
-	}
-	poll := exec.NewPoller(ctx, streamPollStride)
-	cancelled := false
-	p.streamRows(lo, hi, func(v, w int) bool {
-		if poll.Cancelled() {
-			cancelled = true
-			return false
-		}
-		return yield(v, w)
-	})
-	if cancelled {
-		return ctx.Err()
-	}
-	return nil
-}
-
-// streamRows walks rows [lo, hi) of the shard layout, yielding each product
-// edge; this is the allocation-free hot loop every streaming path shares.
-// Two-factor products (K = 1) take the historical specialized loop —
-// vertex arithmetic is IndexOf with n_B hoisted out — and chains walk the
-// mixed-radix decomposition recursively.  Both produce the same order for
-// K = 1.
-func (p *Product) streamRows(lo, hi int, yield func(v, w int) bool) {
-	if len(p.bs) == 1 {
-		p.streamRowsTwoFactor(lo, hi, yield)
-		return
-	}
-	p.streamRowsChain(lo, hi, yield)
-}
-
-func (p *Product) streamRowsTwoFactor(lo, hi int, yield func(v, w int) bool) {
-	ea := p.a.G.Edges()
-	eb := p.bs[0].G.Edges()
-	nb := p.bs[0].N()
-	for r := lo; r < hi; r++ {
-		if r < len(ea) {
-			au, av := ea[r].U*nb, ea[r].V*nb
-			for _, be := range eb {
-				if !yield(au+be.U, av+be.V) {
-					return
-				}
-				if !yield(au+be.V, av+be.U) {
-					return
-				}
+// EachEdge streams every undirected edge {v,w} of C exactly once, in the
+// canonical order, without materializing the product.  Each factor-edge
+// pair ({i,j}, {k,l}) contributes two product edges (i,k)–(j,l) and
+// (i,l)–(j,k) per level; self-loop rows contribute one orientation at
+// their anchor level.  Iteration stops early if yield returns false.
+//
+// This is the reference walker: a plain per-edge recursion sharing no
+// loop with EachEdgeBlockRangeBatchContext, which every served stream
+// uses.  Tests and benchmark checksums compare the primitive against it.
+func (p *Product) EachEdge(yield func(v, w int) bool) {
+	p.cacheEdges()
+	for t := 0; t < len(p.termOff)-1; t++ {
+		for idx := 0; idx < p.termOff[t+1]-p.termOff[t]; idx++ {
+			u, pv, pw := t, idx, idx
+			if t == 0 {
+				u, pv, pw = 1, p.a.edges[idx].U, p.a.edges[idx].V
 			}
-			continue
-		}
-		i := (r - len(ea)) * nb // self-loop row (mode (ii) only)
-		for _, be := range eb {
-			if !yield(i+be.U, i+be.V) {
+			if !p.eachEdgeBelow(u, pv, pw, t == 0, yield) {
 				return
 			}
 		}
 	}
 }
 
-// EachEdgeContext streams the whole edge set (the EachEdge order) under a
-// context; see EachEdgeShardContext for the cancellation contract.
-func (p *Product) EachEdgeContext(ctx context.Context, yield func(v, w int) bool) error {
-	return p.EachEdgeShardContext(ctx, 0, 1, yield)
+// cacheEdges fills every factor's edge list before a walk reads them.
+func (p *Product) cacheEdges() {
+	p.a.cacheEdges()
+	for _, f := range p.bs {
+		f.cacheEdges()
+	}
 }
 
-// ShardEdgeCount returns the number of undirected edges shard `shard` of
-// `nshards` will emit, without streaming.  Closed form on the row range:
-// every row of term t emits exactly termPer[t] product edges, so the
-// count is Σ_t overlap(shard, term t)·termPer[t] — O(K) terms and no
-// per-edge or per-row work at any chain length.  For K = 1 this is the
-// historical (2·edgeRows + selfRows)·|E_B|.  Row counts and per-row
-// multiplicities were overflow-checked against |E_C| at construction, so
-// the arithmetic here cannot wrap.
-func (p *Product) ShardEdgeCount(shard, nshards int) (int64, error) {
-	lo, hi, err := p.shardRange(shard, nshards)
-	if err != nil {
-		return 0, err
+// eachEdgeBelow expands levels u..K onto the prefix pair (pv, pw),
+// yielding a product edge per complete digit tuple.  both selects
+// whether level u ranges over both edge orientations.  Returns false
+// once yield stops the stream.
+func (p *Product) eachEdgeBelow(u, pv, pw int, both bool, yield func(v, w int) bool) bool {
+	f := p.bs[u-1]
+	av, aw := pv*f.N(), pw*f.N()
+	if u == len(p.bs) && both {
+		for _, be := range f.edges {
+			if !yield(av+be.U, aw+be.V) || !yield(av+be.V, aw+be.U) {
+				return false
+			}
+		}
+		return true
 	}
-	var total int64
-	for t := 0; t < len(p.termOff)-1; t++ {
-		o := min(hi, p.termOff[t+1]) - max(lo, p.termOff[t])
-		if o > 0 {
-			total += int64(o) * p.termPer[t]
+	if u == len(p.bs) {
+		for _, be := range f.edges {
+			if !yield(av+be.U, aw+be.V) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, be := range f.edges {
+		if !p.eachEdgeBelow(u+1, av+be.U, aw+be.V, true, yield) ||
+			both && !p.eachEdgeBelow(u+1, av+be.V, aw+be.U, true, yield) {
+			return false
 		}
 	}
-	return total, nil
+	return true
 }
 
-// StreamEdgesParallel streams all shards concurrently, delivering each
-// shard to the sink returned by sinkFor(shard).  Sinks are used from
-// exactly one goroutine each; a non-nil error from any sink aborts the
-// remaining shards and is returned (first error wins).
-//
-// Deprecated-style compatibility wrapper: new callers should use
-// StreamEdgesParallelContext, which adds cancellation and the exec.Sink
-// vocabulary.
-func (p *Product) StreamEdgesParallel(nshards int, sinkFor func(shard int) func(v, w int) error) error {
-	return p.StreamEdgesParallelContext(context.Background(), nshards, func(shard int) exec.Sink {
-		return exec.SinkFunc(sinkFor(shard))
+// EachEdgeBlockRangeBatchContext streams edges [lo, hi) of block
+// (row, col) of an nrows×ncols blocking — block-local offsets in the
+// block's canonical-restricted order, whose total is BlockEdgeCount —
+// under the package's batch contract.  It is the only production edge
+// loop: an O(K) closed-form seek to lo, then the walk of [lo, hi) with
+// no prefix work and no spooling.  The batch buffer's capacity is kept
+// at most one past the edges still due, so the walk stops within an
+// edge of hi without a per-edge limit check.
+func (p *Product) EachEdgeBlockRangeBatchContext(ctx context.Context, row, nrows, col, ncols int, lo, hi int64, yield func(batch []exec.Edge) bool) error {
+	rlo, rhi, clo, chi, err := p.blockRanges(row, nrows, col, ncols)
+	if err != nil {
+		return err
+	}
+	if err := checkRange(lo, hi, p.blockEdges(rlo, rhi, clo, chi)); err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if lo == hi {
+		return nil
+	}
+	p.cacheEdges()
+	bufp := exec.GetEdgeBuf()
+	defer exec.PutEdgeBuf(bufp)
+	t, r, off := p.seekBlockEdge(rlo, rhi, clo, chi, lo)
+	w := walker{
+		p:         p,
+		last:      p.bs[len(p.bs)-1].edges[clo:chi],
+		digits:    p.rowDigits(t, off, chi-clo),
+		seek:      true,
+		buf:       (*bufp)[:0:min(int64(cap(*bufp)), hi-lo+1)],
+		remaining: hi - lo,
+		done:      ctx.Done(),
+		yield:     yield,
+	}
+	for ; t < len(p.termOff)-1; t++ {
+		for end := min(rhi, p.termOff[t+1]); r < end; r++ {
+			idx := r - p.termOff[t]
+			if t == 0 && !w.walk(1, p.a.edges[idx].U, p.a.edges[idx].V, true) ||
+				t > 0 && !w.walk(t, idx, idx, false) {
+				return w.err(ctx)
+			}
+		}
+	}
+	if len(w.buf) > 0 {
+		w.flush(w.buf)
+	}
+	return w.err(ctx)
+}
+
+// walker is the state of one block-range walk.
+type walker struct {
+	p         *Product
+	last      []graph.Edge // E_{B_K} restricted to the block's column stripe
+	digits    []rangeDigit // seek coordinates, consumed by the first descent
+	seek      bool         // the first descent has not reached the base level
+	buf       []exec.Edge
+	remaining int64 // edges still to deliver; flush cuts the batch there
+	done      <-chan struct{}
+	yield     func(batch []exec.Edge) bool
+	cancelled bool
+}
+
+// walk expands levels u..K onto the prefix pair (pv, pw), appending each
+// complete edge to the batch buffer and flushing full batches; both
+// selects whether level u ranges over both edge orientations.  While
+// seeking, each level starts at its digit instead of its first edge.
+// Returns false once the walk must stop.
+func (w *walker) walk(u, pv, pw int, both bool) bool {
+	f := w.p.bs[u-1]
+	av, aw := pv*f.N(), pw*f.N()
+	var i, o int
+	if w.seek {
+		i, o = w.digits[u].e, w.digits[u].o
+	}
+	if u < len(w.p.bs) {
+		for ; i < len(f.edges); i++ {
+			be := f.edges[i]
+			if o == 0 && !w.walk(u+1, av+be.U, aw+be.V, true) {
+				return false
+			}
+			o = 0
+			if both && !w.walk(u+1, av+be.V, aw+be.U, true) {
+				return false
+			}
+		}
+		return true
+	}
+	w.seek = false
+	eb, buf := w.last[i:], w.buf
+	if o == 1 { // resume on the flipped orientation of the first edge
+		buf = append(buf, exec.Edge{V: av + eb[0].V, W: aw + eb[0].U})
+		eb = eb[1:]
+		if cap(buf)-len(buf) < 2 {
+			if !w.flush(buf) {
+				return false
+			}
+			buf = w.buf
+		}
+	}
+	if both {
+		for _, be := range eb {
+			buf = append(buf, exec.Edge{V: av + be.U, W: aw + be.V}, exec.Edge{V: av + be.V, W: aw + be.U})
+			if cap(buf)-len(buf) < 2 {
+				if !w.flush(buf) {
+					return false
+				}
+				buf = w.buf
+			}
+		}
+	} else {
+		for _, be := range eb {
+			buf = append(buf, exec.Edge{V: av + be.U, W: aw + be.V})
+			if cap(buf)-len(buf) < 2 {
+				if !w.flush(buf) {
+					return false
+				}
+				buf = w.buf
+			}
+		}
+	}
+	w.buf = buf
+	return true
+}
+
+// flush delivers buf cut at the range end, checking the context first,
+// and leaves an empty buffer in w.buf whose capacity keeps the next
+// batch from running more than one edge past the end.  Returns false
+// once the walk must stop: range complete, yield stopped, or cancelled.
+func (w *walker) flush(buf []exec.Edge) bool {
+	if int64(len(buf)) > w.remaining {
+		buf = buf[:w.remaining]
+	}
+	w.remaining -= int64(len(buf))
+	if w.done != nil {
+		select {
+		case <-w.done:
+			w.cancelled = true
+			return false
+		default:
+		}
+	}
+	if !w.yield(buf) || w.remaining == 0 {
+		return false
+	}
+	w.buf = buf[:0:min(int64(cap(buf)), w.remaining+1)]
+	return true
+}
+
+// err maps the walk's end state to the contract's return: ctx.Err() on
+// cancellation, nil for a completed or yield-stopped stream.
+func (w *walker) err(ctx context.Context) error {
+	if w.cancelled {
+		return ctx.Err()
+	}
+	return nil
+}
+
+// EachEdgeBlockBatchContext streams the whole of block (row, col) of an
+// nrows×ncols blocking under the batch contract.
+func (p *Product) EachEdgeBlockBatchContext(ctx context.Context, row, nrows, col, ncols int, yield func(batch []exec.Edge) bool) error {
+	n, err := p.BlockEdgeCount(row, nrows, col, ncols)
+	if err != nil {
+		return err
+	}
+	return p.EachEdgeBlockRangeBatchContext(ctx, row, nrows, col, ncols, 0, n, yield)
+}
+
+// EachEdgeRangeBatchContext streams edges [lo, hi) of the canonical
+// EachEdge order under the batch contract.
+func (p *Product) EachEdgeRangeBatchContext(ctx context.Context, lo, hi int64, yield func(batch []exec.Edge) bool) error {
+	return p.EachEdgeBlockRangeBatchContext(ctx, 0, 1, 0, 1, lo, hi, yield)
+}
+
+// EachEdgeBatchContext streams the whole edge set in the EachEdge order
+// under the batch contract.
+func (p *Product) EachEdgeBatchContext(ctx context.Context, yield func(batch []exec.Edge) bool) error {
+	return p.EachEdgeRangeBatchContext(ctx, 0, p.NumEdges(), yield)
+}
+
+// EachEdgeRange streams edges [lo, hi) of the canonical EachEdge order
+// one edge at a time.  Iteration stops early if yield returns false.
+func (p *Product) EachEdgeRange(lo, hi int64, yield func(v, w int) bool) error {
+	return p.EachEdgeRangeBatchContext(context.Background(), lo, hi, func(batch []exec.Edge) bool {
+		for _, e := range batch {
+			if !yield(e.V, e.W) {
+				return false
+			}
+		}
+		return true
 	})
 }
 
-// StreamEdgesParallelContext streams all shards on the exec engine's
-// bounded worker pool.  Each shard's edges go to the sink returned by
-// sinkFor(shard); a sink is used from one goroutine at a time and is
-// flushed (exec.Finish) when its shard completes.  A sink that also
-// implements exec.BatchSink is fed through the batched hot loop —
-// whole pooled buffers per call instead of one dynamic dispatch per
-// edge; prefer that for any throughput-sensitive consumer.  The first
-// sink or generation error cancels the remaining shards and is
-// returned; if ctx is cancelled mid-generation the stream aborts
-// promptly with ctx.Err() and already-written sink output is partial
-// work for the caller to discard.
+// StreamEdgesParallelContext streams all nshards shards on the exec
+// engine's bounded worker pool.  Each shard's edges go to the sink
+// returned by sinkFor(shard) — wholesale when it implements
+// exec.BatchSink, through exec.DeliverBatch otherwise; a sink is used
+// from one goroutine at a time and is flushed (exec.Finish) when its
+// shard completes.  The first sink or generation error cancels the
+// remaining shards and is returned; if ctx is cancelled mid-generation
+// the stream aborts promptly with ctx.Err() and already-written sink
+// output is partial work for the caller to discard.
 func (p *Product) StreamEdgesParallelContext(ctx context.Context, nshards int, sinkFor func(shard int) exec.Sink) error {
 	if nshards <= 0 {
 		return fmt.Errorf("core: nshards must be positive, got %d", nshards)
 	}
-	// One Enabled read decides the whole stream's code path: disabled
-	// runs take the exact pre-instrumentation per-edge loop.  The
-	// labeled per-shard counters are resolved here, once per stream
-	// from a process-wide cache, never in the shard epilogue.
+	// One Enabled read decides the whole stream: disabled runs pay no
+	// per-batch obs work.  The labeled per-shard counters are resolved
+	// here, once per stream, from a process-wide cache.
 	instr := obs.Enabled()
-	var spanDone func()
 	var counters []*obs.Counter
 	if instr {
+		var spanDone func()
 		ctx, spanDone = obs.Span(ctx, "core.stream")
 		defer spanDone()
 		counters = shardEdgeCounters(nshards)
 	}
 	return exec.Sharded(ctx, nshards, func(ctx context.Context, s int) error {
 		sink := sinkFor(s)
-		var c *obs.Counter
+		var start time.Time
+		var end timeline.Done
 		if instr {
-			c = counters[s]
+			start = time.Now()
+			if timeline.Enabled() {
+				end = timeline.Begin(timeline.CatShard, "core.stream", s)
+			}
 		}
-		if bs, ok := sink.(exec.BatchSink); ok {
-			var err error
+		var total int64
+		var sinkErr error
+		err := p.EachEdgeBlockBatchContext(ctx, s, nshards, 0, 1, func(batch []exec.Edge) bool {
+			if sinkErr = exec.DeliverBatch(sink, batch); sinkErr != nil {
+				return false
+			}
 			if instr {
-				err = p.streamShardBatchInstrumented(ctx, s, nshards, c, bs)
-			} else {
-				err = p.streamShardBatch(ctx, s, nshards, bs)
+				mStreamEdges.Add(int64(len(batch)))
+				total += int64(len(batch))
 			}
-			if err != nil {
-				return err
-			}
-			return exec.Finish(sink)
+			return true
+		})
+		if err == nil {
+			err = sinkErr
 		}
-		return p.streamShardPerEdge(ctx, s, nshards, instr, c, sink)
+		if instr {
+			// Partial counts from aborted shards still land, so the
+			// progress reporter and final snapshot agree with the sinks.
+			counters[s].Add(total)
+			hShardSecs.Observe(time.Since(start).Seconds())
+			if err == nil {
+				mShardsDone.Inc()
+			}
+			if end != nil {
+				end(err)
+			}
+		}
+		if err != nil {
+			return err
+		}
+		return exec.Finish(sink)
 	})
-}
-
-// streamShardPerEdge runs one shard through the per-edge vocabulary.
-// Kept as its own function — not inlined into the dispatch closure
-// above — so the yield closure's enclosing frame stays small; folding
-// it next to the batch branch measurably slows the per-edge loop.
-func (p *Product) streamShardPerEdge(ctx context.Context, s, nshards int, instr bool, shardEdges *obs.Counter, sink exec.Sink) error {
-	edge := sink.Edge
-	if f, ok := sink.(exec.SinkFunc); ok {
-		edge = f // skip the interface dispatch in the per-edge hot path
-	}
-	var sinkErr error
-	yield := func(v, w int) bool {
-		if e := edge(v, w); e != nil {
-			sinkErr = e
-			return false
-		}
-		return true
-	}
-	var err error
-	if instr {
-		err = p.streamShardInstrumented(ctx, s, nshards, shardEdges, yield)
-	} else {
-		err = p.EachEdgeShardContext(ctx, s, nshards, yield)
-	}
-	switch {
-	case err != nil:
-		return err
-	case sinkErr != nil:
-		return sinkErr
-	}
-	return exec.Finish(sink)
-}
-
-// streamShardInstrumented streams one shard with per-shard metrics:
-// edges flush to the shared counter every streamObsBatch, and shard
-// completion records a labeled per-shard total (through the
-// pre-resolved counter handle — no registry lookup here), the done
-// count, and the shard's wall time.  Partial counts from aborted
-// shards still flush, so the progress reporter and final snapshot
-// agree with what sinks saw.
-func (p *Product) streamShardInstrumented(ctx context.Context, s, nshards int, shardEdges *obs.Counter, yield func(v, w int) bool) error {
-	start := time.Now()
-	var end timeline.Done
-	if timeline.Enabled() {
-		end = timeline.Begin(timeline.CatShard, "core.stream", s)
-	}
-	var batch, total int64
-	err := p.EachEdgeShardContext(ctx, s, nshards, func(v, w int) bool {
-		ok := yield(v, w)
-		if ok {
-			batch++
-			if batch == streamObsBatch {
-				mStreamEdges.Add(batch)
-				total += batch
-				batch = 0
-			}
-		}
-		return ok
-	})
-	mStreamEdges.Add(batch)
-	total += batch
-	shardEdges.Add(total)
-	hShardSecs.Observe(time.Since(start).Seconds())
-	if err == nil {
-		mShardsDone.Inc()
-	}
-	if end != nil {
-		end(err)
-	}
-	return err
 }

@@ -104,11 +104,14 @@ func streamBinParallel(ctx context.Context, w http.ResponseWriter, p *core.Produ
 	for i := range ready {
 		ready[i] = make(chan binSpanResult, 1)
 	}
-	// The window caps completed-but-unwritten spans at 2 per worker, so
-	// a slow consumer bounds buffered memory instead of inflating it.  A
-	// token travels with each encoded span; the writer releases it after
-	// the span drains to the socket.
-	window := make(chan struct{}, 2*workers)
+	// The window caps claimed-but-unwritten spans at `workers`, so a
+	// slow consumer bounds buffered memory instead of inflating it.
+	// Generation outruns a typical client, so a wider window just fills
+	// with encoded spans (~0.5 MB each on chain products) and raises
+	// server RSS without raising throughput.  A token travels with each
+	// encoded span; the writer releases it after the span drains to the
+	// socket.
+	window := make(chan struct{}, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -116,13 +119,24 @@ func streamBinParallel(ctx context.Context, w http.ResponseWriter, p *core.Produ
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= nspans {
-					return
-				}
+				// Take the token before claiming a span: claims are in
+				// order, so every claimed-but-unwritten span then holds a
+				// token and the span the writer waits on can never starve
+				// behind later spans that took the whole window.
+				tok := false
 				select {
 				case window <- struct{}{}:
+					tok = true
 				case <-ctx.Done():
+				}
+				i := int(next.Add(1)) - 1
+				if i >= nspans {
+					if tok {
+						<-window
+					}
+					return
+				}
+				if !tok {
 					// Still answer for the claimed span (without a token) so
 					// the ordered reader never blocks on an abandoned slot.
 					ready[i] <- binSpanResult{err: ctx.Err()}
